@@ -106,27 +106,11 @@ func (db *DB) createTable(spec TableSpec) (time.Duration, *QueryStats, error) {
 			return 0, nil, cerr
 		}
 		coreOpts.Scheduler = db.sched
-		if len(paths) == 1 {
-			if partBytes := resolvePartitionBytes(opts, paths[0]); partBytes > 0 {
-				tbl, terr := core.NewPartitionedTable(paths[0], sch, coreOpts, partBytes)
-				if terr != nil {
-					return 0, nil, terr
-				}
-				entry.Handle = tbl
-			} else {
-				tbl, terr := core.NewTable(paths[0], sch, coreOpts)
-				if terr != nil {
-					return 0, nil, terr
-				}
-				entry.Handle = tbl
-			}
-		} else {
-			tbl, terr := core.NewShardedTable(spec.Location, paths, sch, coreOpts)
-			if terr != nil {
-				return 0, nil, terr
-			}
-			entry.Handle = tbl
+		tbl, terr := core.NewRawTable(spec.Location, paths, sch, coreOpts, resolvePartitionBytes(opts, paths))
+		if terr != nil {
+			return 0, nil, terr
 		}
+		entry.Handle = tbl
 
 	case "load":
 		if len(paths) != 1 {
@@ -195,8 +179,12 @@ func (db *DB) createTable(spec TableSpec) (time.Duration, *QueryStats, error) {
 // into byte-range partitions: an explicit PartitionBytes > 0 always
 // partitions, < 0 never does, and 0 (the default) partitions files of at
 // least DefaultAutoPartitionBytes so very large files parallelize across
-// partition pipelines without any tuning.
-func resolvePartitionBytes(opts *RawOptions, path string) int64 {
+// partition pipelines without any tuning. Multi-file locations are never
+// partitioned: each file is already one segment.
+func resolvePartitionBytes(opts *RawOptions, paths []string) int64 {
+	if len(paths) != 1 {
+		return 0
+	}
 	pb := int64(0)
 	if opts != nil {
 		pb = opts.PartitionBytes
@@ -207,7 +195,7 @@ func resolvePartitionBytes(opts *RawOptions, path string) int64 {
 		}
 		return pb
 	}
-	if fi, err := os.Stat(path); err == nil && fi.Size() >= core.DefaultAutoPartitionBytes {
+	if fi, err := os.Stat(paths[0]); err == nil && fi.Size() >= core.DefaultAutoPartitionBytes {
 		return core.DefaultAutoPartitionBytes
 	}
 	return 0

@@ -11,6 +11,7 @@ import (
 
 	"nodb/internal/core"
 	"nodb/internal/metrics"
+	"nodb/internal/schema"
 	"nodb/internal/sql"
 	"nodb/internal/value"
 )
@@ -233,7 +234,7 @@ func tableSpecFromDDL(s *sql.CreateTable) (TableSpec, error) {
 // budgets re-split (and evict) immediately, component toggles take effect on
 // the next scan. Unspecified options keep their current values.
 func (db *DB) alterTable(s *sql.AlterTable) error {
-	t, err := db.rawTable(s.Name)
+	t, err := db.lookupRaw(s.Name)
 	if err != nil {
 		return err
 	}
@@ -317,24 +318,33 @@ func (db *DB) catalogRows(ctx context.Context, st sql.Statement, args []any) (*R
 			{Name: "location", Type: "TEXT"}, {Name: "columns", Type: "INT"},
 			{Name: "shards", Type: "INT"},
 		}
+		// Snapshot the entries under the catalog lock and count segments
+		// after releasing it: a partitioned table not yet scanned reads its
+		// file to find them, and DDL must not wait on that.
 		db.mu.RLock()
 		names := db.cat.Names()
 		sort.Strings(names)
+		entries := make([]*schema.Table, 0, len(names))
 		for _, name := range names {
-			e, ok := db.cat.Lookup(name)
-			if !ok {
-				continue
+			if e, ok := db.cat.Lookup(name); ok {
+				entries = append(entries, e)
 			}
+		}
+		db.mu.RUnlock()
+		for _, e := range entries {
 			shards := 1
-			if sh, sharded := e.Handle.(interface{ NumShards() int }); sharded {
-				shards = sh.NumShards()
+			if t, isRaw := e.Handle.(*core.RawTable); isRaw {
+				segs, err := t.Resolve()
+				if err != nil {
+					return nil, fmt.Errorf("nodb: table %q: %w", e.Name, err)
+				}
+				shards = len(segs)
 			}
 			r.static = append(r.static, []value.Value{
 				value.Text(e.Name), value.Text(e.Mode.String()), value.Text(e.Path),
 				value.Int(int64(e.Schema.Len())), value.Int(int64(shards)),
 			})
 		}
-		db.mu.RUnlock()
 	case *sql.Describe:
 		db.mu.RLock()
 		e, ok := db.cat.Lookup(s.Name)

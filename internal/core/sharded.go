@@ -3,277 +3,20 @@ package core
 import (
 	"fmt"
 	"io"
-	"sync"
 
-	"nodb/internal/schema"
-	"nodb/internal/stats"
 	"nodb/internal/value"
-	"nodb/internal/watch"
 )
 
-// RawTable is the raw-access contract shared by single-file tables (*Table)
-// and multi-file sharded tables (*ShardedTable). The planner and engine see
-// raw tables only through it, so a glob registration plugs into the existing
-// scan/aggregation machinery unchanged.
-type RawTable interface {
-	// Path returns the registered location (file path, or glob pattern for
-	// sharded tables).
-	Path() string
-	// Schema returns the table schema (shared by every shard).
-	Schema() *schema.Schema
-	// Options returns the table-level option set (budgets before any
-	// per-shard split).
-	Options() Options
-	// StatsCollector returns the collector the planner estimates
-	// selectivities from. Sharded tables serve the first shard's collector —
-	// an ordinary sample of the table, in the same spirit as the paper's
-	// row-sampled statistics.
-	StatsCollector() *stats.Collector
-	// RowCount returns the learned total row count, or -1 before a full
-	// scan (for sharded tables: while any shard's count is unknown).
-	RowCount() int64
-	// OpenScan opens a scan; Close must be called when done.
-	OpenScan(spec ScanSpec) (Scanner, error)
-	// Refresh checks the underlying file(s) for outside changes and adapts
-	// the adaptive structures.
-	Refresh() (watch.Change, error)
-	// SetBudgets adjusts the positional-map and cache byte budgets (split
-	// across shards for sharded tables), evicting immediately when shrinking.
-	SetBudgets(posMapBudget, cacheBudget int64)
-	// SetEnabled toggles the adaptive components at run time.
-	SetEnabled(posMap, cache, stats bool)
-	// SetErrorPolicy changes the malformed-input policy at run time,
-	// discarding adaptive structures learned under the previous policy.
-	SetErrorPolicy(p OnErrorPolicy, maxErrors int64)
-	// ErrorCounts returns the cumulative malformed-input events and
-	// dropped rows observed across all scans (summed over shards).
-	ErrorCounts() (malformed, dropped int64)
-}
-
-// Scanner is the operator-facing scan contract: the subset of *Scan the
-// engine drives, implemented by both single-file and sharded scans.
-type Scanner interface {
-	Next() ([]value.Value, bool, error)
-	NextBatch() (*Batch, bool, error)
-	Close() error
-	// PushAgg installs worker-side partial aggregation on a scan that has
-	// not started; DrainAgg then drives it to EOF and returns the merged
-	// groups in first-seen row order.
-	PushAgg(spec *AggPushdown) bool
-	DrainAgg() ([]*PartialGroup, error)
-}
-
-var (
-	_ RawTable = (*Table)(nil)
-	_ RawTable = (*ShardedTable)(nil)
-	_ Scanner  = (*Scan)(nil)
-	_ Scanner  = (*ShardedScan)(nil)
-)
-
-// OpenScan implements RawTable (NewScan keeps its concrete return type for
-// package-internal callers and existing tests).
-func (t *Table) OpenScan(spec ScanSpec) (Scanner, error) { return t.NewScan(spec) }
-
-// ShardedTable is an ordered set of raw CSV shard files queried as one
-// table: the scale-out unit for multi-file datasets (LOCATION globs). Every
-// shard is a full *Table — its own reader, positional map, binary cache,
-// statistics and chunk metadata — so shards warm, refresh and evict
-// independently, while scans concatenate shard outputs in registration
-// order. Querying a sharded table yields byte-identical rows, counters and
-// per-shard adaptive-structure contents to querying the shards' concatenated
-// bytes as one file (chunk decompositions align when every shard but the
-// last holds a multiple of ChunkRows rows).
-type ShardedTable struct {
-	location string
-	sch      *schema.Schema
-	shards   []*Table // immutable after construction
-
-	mu   sync.Mutex
-	opts Options // table-level options; budgets are pre-split totals
-}
-
-// splitBudget divides a table-level byte budget evenly across n shards
-// (0 stays unlimited; tiny budgets never round down to unlimited).
-func splitBudget(total int64, n int) int64 {
-	if total <= 0 || n <= 1 {
-		return total
-	}
-	per := total / int64(n)
-	if per == 0 {
-		per = 1
-	}
-	return per
-}
-
-// NewShardedTable registers the ordered shard files as one table. Like
-// NewTable, the files must exist but are not read. location is the
-// registered pattern (kept for display/refresh messages); paths must be
-// non-empty and ordered (scan output follows this order).
-func NewShardedTable(location string, paths []string, sch *schema.Schema, opts Options) (*ShardedTable, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("core: sharded table %q has no shard files", location)
-	}
-	opts.fillDefaults()
-	per := opts
-	per.PosMapBudget = splitBudget(opts.PosMapBudget, len(paths))
-	per.CacheBudget = splitBudget(opts.CacheBudget, len(paths))
-	st := &ShardedTable{location: location, sch: sch, opts: opts}
-	for _, p := range paths {
-		sh, err := NewTable(p, sch, per)
-		if err != nil {
-			return nil, err
-		}
-		st.shards = append(st.shards, sh)
-	}
-	return st, nil
-}
-
-// Path returns the registered location pattern.
-func (t *ShardedTable) Path() string { return t.location }
-
-// Schema returns the table schema.
-func (t *ShardedTable) Schema() *schema.Schema { return t.sch }
-
-// Options returns the table-level option set.
-func (t *ShardedTable) Options() Options {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.opts
-}
-
-// Shards returns the per-file shard tables, in scan order (monitoring,
-// tests).
-func (t *ShardedTable) Shards() []*Table { return t.shards }
-
-// NumShards returns the shard count.
-func (t *ShardedTable) NumShards() int { return len(t.shards) }
-
-// StatsCollector implements RawTable with the first shard's collector.
-func (t *ShardedTable) StatsCollector() *stats.Collector {
-	return t.shards[0].StatsCollector()
-}
-
-// RowCount returns the total learned row count, or -1 while any shard's
-// count is still unknown.
-func (t *ShardedTable) RowCount() int64 {
-	var total int64
-	for _, sh := range t.shards {
-		n := sh.RowCount()
-		if n < 0 {
-			return -1
-		}
-		total += n
-	}
-	return total
-}
-
-// Refresh checks every shard file for outside changes, in shard order, and
-// adapts each shard's structures. A failing shard does not abort the pass:
-// every remaining shard still refreshes (best-effort), so one bad file
-// cannot leave the others stale. The combined change reports the strongest
-// change any shard saw (missing > rewritten > appended > unchanged), and
-// the first error comes back wrapped with its shard path (the underlying
-// faults classification stays visible to errors.Is).
-func (t *ShardedTable) Refresh() (watch.Change, error) {
-	combined := watch.Unchanged
-	var firstErr error
-	for _, sh := range t.shards {
-		change, err := sh.Refresh()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: refresh shard %s: %w", sh.Path(), err)
-		}
-		if change > combined {
-			combined = change
-		}
-	}
-	return combined, firstErr
-}
-
-// SetBudgets re-splits the table-level budgets across the shards, evicting
-// immediately when shrinking.
-func (t *ShardedTable) SetBudgets(posMapBudget, cacheBudget int64) {
-	t.mu.Lock()
-	t.opts.PosMapBudget = posMapBudget
-	t.opts.CacheBudget = cacheBudget
-	t.mu.Unlock()
-	n := len(t.shards)
-	for _, sh := range t.shards {
-		sh.SetBudgets(splitBudget(posMapBudget, n), splitBudget(cacheBudget, n))
-	}
-}
-
-// SetEnabled toggles the adaptive components on every shard (and in the
-// table-level option set, so partial ALTERs read current values back).
-func (t *ShardedTable) SetEnabled(posMap, cache, statsOn bool) {
-	t.mu.Lock()
-	t.opts.EnablePosMap = posMap
-	t.opts.EnableCache = cache
-	t.opts.EnableStats = statsOn
-	t.mu.Unlock()
-	for _, sh := range t.shards {
-		sh.SetEnabled(posMap, cache, statsOn)
-	}
-}
-
-// SetErrorPolicy changes the malformed-input policy on every shard (and in
-// the table-level option set). Each shard discards its own adaptive
-// structures when the policy actually changes.
-func (t *ShardedTable) SetErrorPolicy(p OnErrorPolicy, maxErrors int64) {
-	t.mu.Lock()
-	t.opts.OnError = p
-	t.opts.MaxErrors = maxErrors
-	t.mu.Unlock()
-	for _, sh := range t.shards {
-		sh.SetErrorPolicy(p, maxErrors)
-	}
-}
-
-// ErrorCounts sums the shards' cumulative malformed-input counters.
-func (t *ShardedTable) ErrorCounts() (malformed, dropped int64) {
-	for _, sh := range t.shards {
-		m, d := sh.ErrorCounts()
-		malformed += m
-		dropped += d
-	}
-	return malformed, dropped
-}
-
-// OpenScan opens a sharded scan: each shard runs the ordinary chunk
-// pipeline and the outputs concatenate in shard order. With Parallelism > 1
-// and ShardAhead > 1, up to ShardAhead shards' pipelines run at once (the
-// shard read-ahead window) while results and structure updates still commit
-// strictly in shard order. The first shard's scan opens eagerly so spec
-// validation errors surface at construction, like Table.NewScan.
-func (t *ShardedTable) OpenScan(spec ScanSpec) (Scanner, error) {
-	opts := t.Options()
-	win := opts.ShardAhead
-	if win < 1 {
-		win = 1
-	}
-	if opts.Parallelism <= 1 {
-		// Sequential scans are driven entirely on the caller's goroutine;
-		// prefetching would open files early for no overlap. Window 1 keeps
-		// the fully-lazy serial path.
-		win = 1
-	}
-	s := &ShardedScan{t: t, spec: spec, win: win}
-	first, err := t.shards[0].NewScan(spec)
-	if err != nil {
-		return nil, err
-	}
-	s.cur = first
-	return s, nil
-}
-
-// ShardedScan concatenates per-shard scans in shard order. The current
-// shard plus up to win-1 prefetched successors are open at a time: shard
-// i+1's pipeline processes chunks while shard i drains, but commits — and
-// hence every adaptive-structure update and the shared aggregation merge —
-// happen only when a shard becomes current, in strict shard order. An early
-// Close (LIMIT, cancellation) never touches shards beyond the read-ahead
-// window, and prefetched-but-undrained shards publish no structure updates.
+// ShardedScan concatenates the scans of a raw table's segments (shards:
+// whole files or byte ranges) in segment order. The current shard plus up
+// to win-1 prefetched successors are open at a time: shard i+1's pipeline
+// processes chunks while shard i drains, but commits — and hence every
+// adaptive-structure update and the shared aggregation merge — happen only
+// when a shard becomes current, in strict shard order. An early Close
+// (LIMIT, cancellation) never touches shards beyond the read-ahead window,
+// and prefetched-but-undrained shards publish no structure updates.
 type ShardedScan struct {
-	t    *ShardedTable
+	segs []*Table
 	spec ScanSpec
 
 	idx     int   // current shard
@@ -307,7 +50,7 @@ type aheadShard struct {
 // Close releases the current shard scan and every prefetched one; shards
 // beyond the read-ahead window are never opened.
 func (s *ShardedScan) Close() error {
-	s.idx = len(s.t.shards)
+	s.idx = len(s.segs)
 	var first error
 	if s.cur != nil {
 		first = s.cur.Close()
@@ -353,11 +96,11 @@ func (s *ShardedScan) topUp() {
 	if n := len(s.ahead); n > 0 {
 		next = s.ahead[n-1].idx + 1
 	}
-	for next-s.idx < s.win && next < len(s.t.shards) {
+	for next-s.idx < s.win && next < len(s.segs) {
 		if n := len(s.ahead); n > 0 && s.ahead[n-1].sc == nil {
 			return // a failed slot blocks further read-ahead
 		}
-		sc, err := s.t.shards[next].NewScan(s.spec)
+		sc, err := s.segs[next].NewScan(s.spec)
 		if err == nil && s.agg != nil {
 			if err = s.installAgg(sc, next); err != nil {
 				sc = nil
@@ -377,7 +120,7 @@ func (s *ShardedScan) topUp() {
 // window holds one — and tops the window back up. Reports io.EOF past the
 // last shard.
 func (s *ShardedScan) open() error {
-	if s.idx >= len(s.t.shards) {
+	if s.idx >= len(s.segs) {
 		return io.EOF
 	}
 	var sc *Scan
@@ -387,7 +130,7 @@ func (s *ShardedScan) open() error {
 	}
 	if sc == nil {
 		var err error
-		sc, err = s.t.shards[s.idx].NewScan(s.spec)
+		sc, err = s.segs[s.idx].NewScan(s.spec)
 		if err != nil {
 			return err
 		}

@@ -99,17 +99,18 @@ func ForEachBatchRow(in BatchOperator, fn func(row []value.Value) error) error {
 	}
 }
 
-// RawScan adapts a core scan (in-situ or baseline raw access, single-file
-// or sharded) to the operator interface. Filter pushdown happened at
-// construction via the ScanSpec.
+// RawScan adapts a core scan (in-situ or baseline raw access, over one
+// segment or several) to the operator interface. Filter pushdown happened
+// at construction via the ScanSpec.
 type RawScan struct {
 	sc    core.Scanner
 	batch Batch
 }
 
-// NewRawScan opens the in-situ scan. Sharded tables open a concatenating
-// scan that runs the chunk pipeline per shard, in shard order.
-func NewRawScan(t core.RawTable, spec core.ScanSpec) (*RawScan, error) {
+// NewRawScan opens the in-situ scan of a *core.RawTable, which runs the
+// chunk pipeline per segment and concatenates in segment order. Tests pass
+// a bare segment (*core.Table) in its place.
+func NewRawScan(t core.ScanOpener, spec core.ScanSpec) (*RawScan, error) {
 	sc, err := t.OpenScan(spec)
 	if err != nil {
 		return nil, err

@@ -39,7 +39,7 @@ func setup(t *testing.T, rows int) *schema.Catalog {
 
 	cat := schema.NewCatalog()
 
-	raw, err := core.NewTable(csv, sch, core.InSituOptions())
+	raw, err := core.NewRawTable(csv, []string{csv}, sch, core.InSituOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func setup(t *testing.T, rows int) *schema.Catalog {
 	}
 	dimCSV := filepath.Join(dir, "dim.csv")
 	os.WriteFile(dimCSV, []byte(db.String()), 0o644)
-	dim, err := core.NewTable(dimCSV, dimSch, core.InSituOptions())
+	dim, err := core.NewRawTable(dimCSV, []string{dimCSV}, dimSch, core.InSituOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestExplainSurfacesErrorPolicy(t *testing.T) {
 	if !ok {
 		t.Fatal("raw table missing from catalog")
 	}
-	tbl := entry.Handle.(*core.Table)
+	tbl := entry.Handle.(*core.RawTable)
 
 	// A non-default policy changes result rows, so EXPLAIN must surface it.
 	tbl.SetErrorPolicy(core.OnErrorSkip, 10)

@@ -134,10 +134,10 @@ type Table struct {
 	Mode   AccessMode
 	Path   string // raw file path (in-situ/baseline) or original source (load-first)
 
-	// Handle is an opaque pointer owned by the engine layer: *core.Table
-	// (single file) or *core.ShardedTable (glob location) for raw access
-	// modes, *storage.Table for load-first tables. The catalog does not
-	// interpret it.
+	// Handle is an opaque pointer owned by the engine layer: *core.RawTable
+	// (one file, a glob of files, or one file in byte-range partitions) for
+	// raw access modes, *storage.Table for load-first tables. The catalog
+	// does not interpret it.
 	Handle any
 }
 

@@ -458,7 +458,7 @@ func (db *DB) Drop(name string) bool {
 // scenario) and adapts its structures. Returns "unchanged", "appended" or
 // "rewritten".
 func (db *DB) Refresh(name string) (string, error) {
-	t, err := db.rawTable(name)
+	t, err := db.lookupRaw(name)
 	if err != nil {
 		return "", err
 	}
@@ -469,7 +469,7 @@ func (db *DB) Refresh(name string) (string, error) {
 // SetBudgets adjusts a raw table's positional-map and cache byte budgets
 // (the demo's storage sliders); shrinking evicts immediately.
 func (db *DB) SetBudgets(name string, posMapBudget, cacheBudget int64) error {
-	t, err := db.rawTable(name)
+	t, err := db.lookupRaw(name)
 	if err != nil {
 		return err
 	}
@@ -480,7 +480,7 @@ func (db *DB) SetBudgets(name string, posMapBudget, cacheBudget int64) error {
 // SetComponents toggles a raw table's adaptive components at run time (the
 // demo's checkboxes).
 func (db *DB) SetComponents(name string, posMap, cache, stats bool) error {
-	t, err := db.rawTable(name)
+	t, err := db.lookupRaw(name)
 	if err != nil {
 		return err
 	}
@@ -488,14 +488,14 @@ func (db *DB) SetComponents(name string, posMap, cache, stats bool) error {
 	return nil
 }
 
-func (db *DB) rawTable(name string) (core.RawTable, error) {
+func (db *DB) lookupRaw(name string) (*core.RawTable, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	entry, ok := db.cat.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("nodb: unknown table %q", name)
 	}
-	t, ok := entry.Handle.(core.RawTable)
+	t, ok := entry.Handle.(*core.RawTable)
 	if !ok {
 		return nil, fmt.Errorf("nodb: table %q is not a raw table", name)
 	}

@@ -3,7 +3,6 @@ package nodb
 import (
 	"fmt"
 
-	"nodb/internal/core"
 	"nodb/internal/monitor"
 )
 
@@ -12,9 +11,9 @@ import (
 // display.
 type Panel = monitor.Panel
 
-// Panel captures the current monitoring panel for a raw table. For a
-// sharded (multi-file) table it returns the first shard's panel; Panels
-// returns every shard's.
+// Panel captures the current monitoring panel for a raw table: the first
+// segment's panel (a plain file has exactly one); Panels returns every
+// segment's.
 func (db *DB) Panel(name string) (*Panel, error) {
 	ps, err := db.Panels(name)
 	if err != nil {
@@ -29,41 +28,35 @@ func (db *DB) PoolPanel() string {
 	return monitor.PoolPanel(db.sched.Stats())
 }
 
-// Panels captures the monitoring panels of a raw table's shards, one per
-// shard file in scan order (a single-file table yields exactly one panel; a
-// byte-range partitioned table yields one panel per partition, labeled with
-// its byte span).
+// Panels captures the monitoring panels of a raw table's segments, one per
+// segment in scan order. A plain file yields one panel labeled with the
+// table name; several files yield "name[i/n] path" panels and a
+// partitioned file "name[i/n] bytes lo-hi" panels (the last one open-ended,
+// "bytes lo-"). A partitioned table finds its boundaries here if no query
+// has yet, and a failure to do so is returned.
 func (db *DB) Panels(name string) ([]*Panel, error) {
-	t, err := db.rawTable(name)
+	t, err := db.lookupRaw(name)
 	if err != nil {
 		return nil, err
 	}
-	switch h := t.(type) {
-	case *core.Table:
-		return []*Panel{monitor.Snapshot(name, h)}, nil
-	case *core.ShardedTable:
-		shards := h.Shards()
-		out := make([]*Panel, len(shards))
-		for i, sh := range shards {
-			out[i] = monitor.Snapshot(fmt.Sprintf("%s[%d/%d] %s", name, i, len(shards), sh.Path()), sh)
-		}
-		return out, nil
-	case *core.PartitionedTable:
-		parts := h.Partitions()
-		if parts == nil {
-			return nil, fmt.Errorf("nodb: table %q: partition discovery failed", name)
-		}
-		out := make([]*Panel, len(parts))
-		for i, p := range parts {
-			lo, hi := p.Range()
-			span := fmt.Sprintf("bytes %d-", lo)
-			if hi > 0 {
-				span = fmt.Sprintf("bytes %d-%d", lo, hi)
-			}
-			out[i] = monitor.Snapshot(fmt.Sprintf("%s[%d/%d] %s", name, i, len(parts), span), p)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("nodb: table %q has an unknown raw handle", name)
+	segs, err := t.Resolve()
+	if err != nil {
+		return nil, fmt.Errorf("nodb: table %q: %w", name, err)
 	}
+	if len(segs) == 1 && t.PartitionBytes() == 0 {
+		return []*Panel{monitor.Snapshot(name, segs[0])}, nil
+	}
+	out := make([]*Panel, len(segs))
+	for i, seg := range segs {
+		where := seg.Path()
+		if t.PartitionBytes() > 0 {
+			lo, hi := seg.Range()
+			where = fmt.Sprintf("bytes %d-", lo)
+			if hi > 0 {
+				where += fmt.Sprint(hi)
+			}
+		}
+		out[i] = monitor.Snapshot(fmt.Sprintf("%s[%d/%d] %s", name, i, len(segs), where), seg)
+	}
+	return out, nil
 }

@@ -223,9 +223,9 @@ func (db *DB) execPrepared(ctx context.Context, prep *planner.Prepared, cacheHit
 	}
 
 	// Auto-refresh referenced raw tables (the demo's Updates scenario);
-	// sharded tables refresh shard by shard.
+	// multi-segment tables refresh segment by segment.
 	for _, e := range entries {
-		if t, isRaw := e.Handle.(core.RawTable); isRaw {
+		if t, isRaw := e.Handle.(*core.RawTable); isRaw {
 			if _, err := t.Refresh(); err != nil {
 				return fail(err)
 			}

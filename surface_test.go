@@ -6,7 +6,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"nodb/internal/rawfile"
 )
 
 // rawSurface is everything a user can read about a raw table's shape
@@ -214,5 +218,83 @@ func TestRawTableSurface(t *testing.T) {
 				t.Errorf("surface mismatch\n got: %#v\nwant: %#v", got, c.want)
 			}
 		})
+	}
+}
+
+// rawTable returns the lone segment of a table over one whole file — where
+// a single file's adaptive structures live — and the table itself
+// otherwise, for tests that inspect a plain file's structures.
+func (db *DB) rawTable(name string) (interface{ RowCount() int64 }, error) {
+	t, err := db.lookupRaw(name)
+	if err != nil {
+		return nil, err
+	}
+	if segs := t.Found(); len(segs) == 1 && t.PartitionBytes() == 0 {
+		return segs[0], nil
+	}
+	return t, nil
+}
+
+// TestShowTablesReadsFilesOutsideCatalogLock: SHOW TABLES on a partitioned
+// table no query has scanned yet reads the file to find its partitions.
+// That read must not happen under the catalog lock, or every DDL statement
+// waits on file I/O. The open hook stalls the read until a concurrent
+// CREATE EXTERNAL TABLE of another name has returned; the rows must still
+// report the true partition count.
+func TestShowTablesReadsFilesOutsideCatalogLock(t *testing.T) {
+	dir := t.TempDir()
+	big, other := filepath.Join(dir, "big.csv"), filepath.Join(dir, "other.csv")
+	var sb strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&sb, "%05d,n%05d\n", i, i)
+	}
+	for _, p := range []string{big, other} {
+		if err := os.WriteFile(p, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Exec(nil, fmt.Sprintf("CREATE EXTERNAL TABLE t (id int, name text) USING raw LOCATION '%s' WITH (partition_bytes = 1000)", big)); err != nil {
+		t.Fatal(err)
+	}
+
+	created := make(chan error, 1)
+	var once sync.Once
+	var stalled bool
+	rawfile.SetOpenHook(func(path string, f rawfile.File) rawfile.File {
+		if path == big {
+			once.Do(func() {
+				go func() {
+					created <- db.Exec(nil, fmt.Sprintf("CREATE EXTERNAL TABLE u (id int, name text) USING raw LOCATION '%s'", other))
+				}()
+				select {
+				case err := <-created:
+					created <- err
+				case <-time.After(5 * time.Second):
+					stalled = true
+				}
+			})
+		}
+		return f
+	})
+	defer rawfile.SetOpenHook(nil)
+
+	res, err := db.Query("SHOW TABLES")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	if stalled {
+		t.Fatal("CREATE EXTERNAL TABLE waited on SHOW TABLES reading a raw file under the catalog lock")
+	}
+	want := fmt.Sprint([][]any{{"t", "in-situ", big, int64(2), int64(3)}})
+	if got := fmt.Sprint(res.Rows); got != want {
+		t.Fatalf("SHOW TABLES = %s, want %s", got, want)
 	}
 }
